@@ -33,6 +33,7 @@ numbers.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import subprocess
@@ -1241,6 +1242,99 @@ def bench_serve_durable_push(pushes: int = 40, flush_every: int = 8) -> dict:
     }
 
 
+def bench_receive_pack_scaling(sizes: tuple[int, int] = (500, 8000), pushes: int = 31) -> dict:
+    """One-file receive-pack across repository sizes: hosted checkout vs bare.
+
+    A hosted repository used to keep a worktree, so every receive-pack that
+    moved the checked-out branch ended in an O(repo) ``checkout`` while the
+    ref and per-slug locks were held.  Hosted repositories are now bare:
+    receive-pack verifies the bundle, installs its objects and moves refs.
+
+    * **baseline** — the previous receive path on the large repository:
+      the same ``receive_pack`` call followed by the hosted checkout it used
+      to perform (p50 of ``pushes`` one-file pushes).
+    * **optimized** — ``receive_pack`` alone on the same pushes.
+
+    The gated ``latency_ratio_8k_vs_500`` is the optimized p50 on the large
+    repository over the p50 on the small one; bounded at 1.5, it pins the
+    push cost to the change, not to the tree.  Only the server call is
+    timed: the client-side bundles are prepared beforehand.
+    """
+    from statistics import median
+
+    from repro.vcs.remote import mirror_repository
+    from repro.vcs.transfer import advertise_refs
+
+    signature = Signature(name="alice", email="alice@example.org", timestamp=_STORAGE_STAMP)
+
+    def prepared(num_files: int):
+        # The workload generator's layout (about five files per directory,
+        # depth up to four) at both sizes, so the trees on a pushed path do
+        # not widen with the repository.
+        rng = random.Random(num_files)
+        paths = generate_tree_paths(rng, num_files)
+        seed = Repository.init("scaling", "alice")
+        seed.write_files({path: f"# {path}\n" for path in paths})
+        seed.commit("initial", author=signature)
+        local = clone_repository(seed)
+        bundles = []
+        for index, path in enumerate(rng.sample(paths, pushes)):
+            parent = local.head_oid()
+            local.write_file(path, f"# push {index}\n")
+            tip = local.commit(f"push {index}", author=signature)
+            bundles.append(create_bundle(local.store, [tip], haves=[parent],
+                                         refs=advertise_refs(local)))
+        return seed, bundles, local.head_oid()
+
+    def hosted(seed):
+        platform = HostingPlatform(rate_limiter=RateLimiter(enabled=False))
+        repo = platform.host_repository(mirror_repository(seed)).repo
+        return platform, platform.issue_token("alice").value, repo
+
+    def timed_push(target, data, checkout_after: bool = False) -> float:
+        platform, token, repo = target
+        start = time.perf_counter()
+        platform.receive_pack("alice/scaling", token, data)
+        if checkout_after:
+            repo.checkout(repo.current_branch)
+        return time.perf_counter() - start
+
+    small, large = sizes
+    small_seed, small_bundles, small_tip = prepared(small)
+    large_seed, large_bundles, large_tip = prepared(large)
+    small_hub, large_hub, checkout_hub = hosted(small_seed), hosted(large_seed), hosted(large_seed)
+    small_times, large_times, checkout_times = [], [], []
+    # The two sizes interleaved, with the cyclic collector paused (as
+    # timeit does), so machine noise and collector passes land on both alike.
+    gc.disable()
+    try:
+        for small_data, large_data in zip(small_bundles, large_bundles):
+            small_times.append(timed_push(small_hub, small_data))
+            large_times.append(timed_push(large_hub, large_data))
+    finally:
+        gc.enable()
+    for data in large_bundles:
+        checkout_times.append(timed_push(checkout_hub, data, checkout_after=True))
+    small_p50, optimized_s, baseline_s = (
+        median(small_times), median(large_times), median(checkout_times)
+    )
+    small_head, large_head, baseline_head = (
+        hub[2].head_oid() for hub in (small_hub, large_hub, checkout_hub)
+    )
+    return {
+        "baseline_s": baseline_s,
+        "optimized_s": optimized_s,
+        "speedup": baseline_s / optimized_s,
+        "outputs_identical": (
+            small_head == small_tip and large_head == baseline_head == large_tip
+        ),
+        "p50_small_s": small_p50,
+        "latency_ratio_8k_vs_500": optimized_s / small_p50,
+        "files": list(sizes),
+        "pushes": pushes,
+    }
+
+
 SCENARIOS = {
     "bulk_addcite_1k": bench_bulk_addcite,
     "repeated_cite_at_ref": bench_cite_at_ref,
@@ -1259,6 +1353,7 @@ SCENARIOS = {
     "fsck_5k": bench_fsck,
     "concurrent_push_pull": bench_concurrent_push_pull,
     "serve_durable_push": bench_serve_durable_push,
+    "receive_pack_scaling": bench_receive_pack_scaling,
 }
 
 

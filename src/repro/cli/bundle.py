@@ -108,6 +108,7 @@ def cmd_bundle_unbundle(args: argparse.Namespace) -> int:
         data = Path(args.file).read_bytes()
     except OSError as exc:
         raise CLIError(f"cannot read bundle file: {exc}") from exc
+    head_before = repo.head_oid()
     try:
         result = apply_bundle(repo.store, data)
         updated = update_refs_from_bundle(repo, result.bundle, force=args.force)
@@ -115,6 +116,11 @@ def cmd_bundle_unbundle(args: argparse.Namespace) -> int:
         # RemoteError covers both corrupt bundles (BundleError) and
         # non-fast-forward ref rejections — one consistent error shape.
         raise CLIError(f"bundle rejected: {exc}") from exc
+    # The transfer layer only moves refs; this working copy refreshes its own
+    # files when the checked-out branch moved.  A tag that merely shares the
+    # branch's name leaves HEAD where it was, so uncommitted edits survive.
+    if repo.current_branch is not None and repo.head_oid() != head_before:
+        repo.checkout(repo.current_branch)
     save_repository(repo, args.directory)
     moved = ", ".join(f"{name} -> {oid[:7]}" for name, oid in sorted(updated.items()))
     _print(

@@ -22,6 +22,11 @@ Durability contract (``docs/OPERATIONS.md`` has the operator's view):
   under ``--drain-timeout``, flush the journal, save the working copy.  If
   the final save fails the process exits non-zero, but nothing is lost —
   the journal still holds every acknowledgement and prints where.
+* the hosted repository is bare (refs plus objects): the directory's files
+  are not read while serving, and the files of HEAD's tip are written into
+  the directory only when HEAD moves — once at drain, or during startup
+  recovery when the journal replay moved it — so an unmoved working copy
+  keeps its uncommitted edits.
 * if startup recovery quarantined unrecoverable history the hub comes up
   **degraded (read-only)**: clones and reads work, writes answer a
   retryable 503 until an operator intervenes.
@@ -33,6 +38,7 @@ import argparse
 import os
 import signal
 import threading
+import time
 
 from repro import faults
 from repro.cli.storage import save_repository
@@ -43,6 +49,7 @@ from repro.hub.httpd import HubHttpServer
 from repro.hub.lifecycle import GuardedApi, ServingState, drain
 from repro.hub.ratelimit import RateLimiter
 from repro.hub.server import HostingPlatform
+from repro.vcs.worktree import export_snapshot
 
 __all__ = ["cmd_serve", "FAULTS_ENV"]
 
@@ -89,9 +96,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except ReproError as exc:
         raise CLIError(f"startup recovery failed: {exc}") from exc
 
-    limiter = RateLimiter(enabled=not args.no_rate_limit)
-    platform = HostingPlatform(rate_limiter=limiter)
+    # The clock makes the hourly quota window roll; without one the quota
+    # never resets and a long-lived hub answers 429 to everything.
+    platform = HostingPlatform(
+        rate_limiter=RateLimiter(enabled=not args.no_rate_limit, clock=time.monotonic)
+    )
     platform.host_repository(repo)
+    # Recovery already wrote the files of any tip its replay moved HEAD to,
+    # so the directory holds this tip's files unless HEAD moves while serving.
+    served_head = repo.head_oid()
     token = platform.issue_token(repo.owner)
     slug = repo.full_name
 
@@ -171,7 +184,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"  warning: journal flush failed on shutdown: {exc}", flush=True)
     try:
-        save_repository(repo, args.directory)
+        # Files first, checkpoint second: a crash between the two replays the
+        # journal onto the old checkpoint, whose recovery writes them again.
+        if repo.head_oid() != served_head:
+            export_snapshot(repo, "HEAD", args.directory)
+        save_repository(repo, args.directory, export_files=False)
     except (ReproError, OSError) as exc:
         # The checkpoint failed, but every acknowledged update is still in
         # the journal — the next serve replays it.  Exit non-zero so

@@ -32,6 +32,7 @@ process death, exactly as it could not swallow a real one.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
@@ -121,54 +122,109 @@ _CANONICAL = (
     "serve.recover",   # per-record journal replay during serve startup
 )
 
-_hits: dict[str, int] = {name: 0 for name in _CANONICAL}
-_arms: dict[str, list[FaultAction]] = {}
+class _Registry:
+    """Hit counters and armed actions, shared by every thread.
+
+    Server threads fire failpoints concurrently, and a hit-indexed arm
+    (``at=N``) is only deterministic if "count this hit, then match it
+    against the arms" is one atomic step — so every read-modify-write of
+    the registry happens under one lock.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._hits: dict[str, int] = {name: 0 for name in _CANONICAL}  # guarded-by: _lock
+        self._arms: dict[str, list[FaultAction]] = {}  # guarded-by: _lock
+
+    def register(self, name: str) -> None:
+        with self._lock:
+            self._hits.setdefault(name, 0)
+
+    def names(self) -> tuple[str, ...]:
+        with self._lock:
+            return tuple(sorted(self._hits))
+
+    def hits(self) -> dict[str, int]:
+        with self._lock:
+            return dict(self._hits)
+
+    def arm(self, name: str, action: FaultAction) -> None:
+        with self._lock:
+            self._hits.setdefault(name, 0)
+            self._arms.setdefault(name, []).append(action)
+
+    def disarm(self, name: str | None, action: FaultAction | None = None) -> None:
+        """Remove every arm (``name=None``), one failpoint's, or one action."""
+        with self._lock:
+            if name is None:
+                self._arms.clear()
+            elif action is None:
+                self._arms.pop(name, None)
+            else:
+                actions = self._arms.get(name, [])
+                if action in actions:
+                    actions.remove(action)
+                if not actions:
+                    self._arms.pop(name, None)
+
+    def reset(self) -> None:
+        with self._lock:
+            self._arms.clear()
+            for name in self._hits:
+                self._hits[name] = 0
+
+    def consume(self, name: str) -> FaultAction | None:
+        with self._lock:
+            hit = self._hits.get(name, 0) + 1
+            self._hits[name] = hit
+            for action in self._arms.get(name, ()):
+                if action.matches(hit):
+                    action.triggered += 1
+                    return action
+            return None
+
+
+_REGISTRY = _Registry()
 
 
 def register(name: str) -> str:
     """Declare a failpoint name (idempotent); returns the name."""
-    _hits.setdefault(name, 0)
+    _REGISTRY.register(name)
     return name
 
 
 def registered_failpoints() -> tuple[str, ...]:
     """Every known failpoint name, sorted."""
-    return tuple(sorted(_hits))
+    return _REGISTRY.names()
 
 
 def hits(name: str) -> int:
     """How many times ``name`` has fired since the last :func:`reset`."""
-    return _hits.get(name, 0)
+    return _REGISTRY.hits().get(name, 0)
 
 
 def all_hits() -> dict[str, int]:
     """Snapshot of every failpoint's hit count."""
-    return dict(_hits)
+    return _REGISTRY.hits()
 
 
 def arm(name: str, action: str | FaultAction = "crash", **kwargs) -> FaultAction:
     """Arm ``name`` with an action (kind string plus keyword options)."""
-    register(name)
     armed_action = action if isinstance(action, FaultAction) else FaultAction(kind=action, **kwargs)
     if armed_action.kind not in ("crash", "truncate", "flip", "error"):
         raise ValueError(f"unknown fault action kind {armed_action.kind!r}")
-    _arms.setdefault(name, []).append(armed_action)
+    _REGISTRY.arm(name, armed_action)
     return armed_action
 
 
 def disarm(name: str | None = None) -> None:
     """Remove the arms of one failpoint, or all of them."""
-    if name is None:
-        _arms.clear()
-    else:
-        _arms.pop(name, None)
+    _REGISTRY.disarm(name)
 
 
 def reset() -> None:
     """Disarm everything and zero every hit counter."""
-    _arms.clear()
-    for name in _hits:
-        _hits[name] = 0
+    _REGISTRY.reset()
 
 
 @contextmanager
@@ -178,14 +234,7 @@ def armed(name: str, action: str | FaultAction = "crash", **kwargs) -> Iterator[
     try:
         yield armed_action
     finally:
-        actions = _arms.get(name)
-        if actions is not None:
-            try:
-                actions.remove(armed_action)
-            except ValueError:
-                pass
-            if not actions:
-                _arms.pop(name, None)
+        _REGISTRY.disarm(name, armed_action)
 
 
 def consume(name: str | None) -> FaultAction | None:
@@ -195,16 +244,12 @@ def consume(name: str | None) -> FaultAction | None:
     action semantics (truncate-then-crash needs the caller's cooperation);
     most sites use :func:`fire` or :func:`corrupt` instead.  ``None`` names
     are accepted and ignored so call sites can thread an optional failpoint.
+    Counting and matching are one atomic step, so concurrent threads never
+    share or skip a hit index.
     """
     if name is None:
         return None
-    hit = _hits.get(name, 0) + 1
-    _hits[name] = hit
-    for action in _arms.get(name, ()):
-        if action.matches(hit):
-            action.triggered += 1
-            return action
-    return None
+    return _REGISTRY.consume(name)
 
 
 def fire(name: str | None) -> None:

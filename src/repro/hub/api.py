@@ -72,6 +72,59 @@ class _Route:
     query: dict[str, str] = field(default_factory=dict)
 
 
+def _optional(payload: dict, key: str, kind: type, label: str):
+    value = payload.get(key)
+    if value is not None and not isinstance(value, kind):
+        raise ValidationError(f"'{key}' must be {label} or null")
+    return value
+
+
+@dataclass(frozen=True)
+class _ContentsWrite:
+    """A type-checked contents PUT/DELETE body.
+
+    Every field is checked at the route boundary, so a malformed body is a
+    422 that changes nothing instead of an exception deep in the commit
+    path.
+    """
+
+    message: str
+    content: Optional[bytes]
+    branch: Optional[str]
+    author_name: Optional[str]
+
+    @classmethod
+    def parse(cls, payload: dict, with_content: bool) -> "_ContentsWrite":
+        if with_content and ("content" not in payload or "message" not in payload):
+            raise ValidationError("PUT contents requires 'message' and base64 'content' fields")
+        if "message" not in payload:
+            raise ValidationError("DELETE contents requires a 'message' field")
+        if not isinstance(payload["message"], str):
+            raise ValidationError("'message' must be a string")
+        content = None
+        if with_content:
+            encoded = payload["content"]
+            if not isinstance(encoded, str):
+                raise ValidationError("'content' must be a base64 string")
+            try:
+                # validate=True: without it b64decode silently discards any
+                # non-alphabet characters, so a corrupted payload would commit
+                # garbage bytes instead of being rejected with a 422.
+                # MIME-style line wrapping (RFC 2045 encoders insert newlines
+                # every 76 chars; GitHub accepts it) is legitimate, so
+                # whitespace is stripped before validating.
+                content = base64.b64decode("".join(encoded.split()), validate=True)
+            except (binascii.Error, ValueError) as exc:
+                raise ValidationError(f"content is not valid base64: {exc}") from exc
+        committer = _optional(payload, "committer", dict, "an object") or {}
+        return cls(
+            message=payload["message"],
+            content=content,
+            branch=_optional(payload, "branch", str, "a string"),
+            author_name=_optional(committer, "name", str, "a string"),
+        )
+
+
 class RestApi:
     """Dispatch REST-style requests to a :class:`HostingPlatform`."""
 
@@ -325,46 +378,28 @@ class RestApi:
         }
 
     def _put_contents(self, route: _Route, token: Optional[str], payload: dict) -> dict:
-        slug = self._slug(route)
         path = self._contents_path(route)
-        if "content" not in payload or "message" not in payload:
-            raise ValidationError("PUT contents requires 'message' and base64 'content' fields")
-        try:
-            # validate=True: without it b64decode silently discards any
-            # non-alphabet characters, so a corrupted payload would commit
-            # garbage bytes instead of being rejected with a 422.  MIME-style
-            # line wrapping (RFC 2045 encoders insert newlines every 76
-            # chars; GitHub accepts it) is legitimate, so whitespace is
-            # stripped before validating.
-            encoded = payload["content"]
-            if isinstance(encoded, str):
-                encoded = "".join(encoded.split())
-            content = base64.b64decode(encoded, validate=True)
-        except (binascii.Error, ValueError, TypeError) as exc:
-            raise ValidationError(f"content is not valid base64: {exc}") from exc
+        body = _ContentsWrite.parse(payload, with_content=True)
         commit_oid = self.platform.put_file(
-            slug,
+            self._slug(route),
             path,
-            content,
-            message=payload["message"],
+            body.content,
+            message=body.message,
             token=token,
-            branch=payload.get("branch"),
-            author_name=(payload.get("committer") or {}).get("name"),
+            branch=body.branch,
+            author_name=body.author_name,
         )
         return {"content": {"path": path.lstrip("/")}, "commit": {"sha": commit_oid}}
 
     def _delete_contents(self, route: _Route, token: Optional[str], payload: dict) -> dict:
-        slug = self._slug(route)
-        path = self._contents_path(route)
-        if "message" not in payload:
-            raise ValidationError("DELETE contents requires a 'message' field")
+        body = _ContentsWrite.parse(payload, with_content=False)
         commit_oid = self.platform.delete_file(
-            slug,
-            path,
-            message=payload["message"],
+            self._slug(route),
+            self._contents_path(route),
+            message=body.message,
             token=token,
-            branch=payload.get("branch"),
-            author_name=(payload.get("committer") or {}).get("name"),
+            branch=body.branch,
+            author_name=body.author_name,
         )
         return {"content": None, "commit": {"sha": commit_oid}}
 

@@ -341,7 +341,11 @@ def recover_working_copy(
     Pipeline: sweep orphan temp files → fsck (with repair: quarantine,
     salvage, rebuild indexes) → load the last checkpoint (``state.json`` +
     object store) → replay the intact journal prefix → checkpoint the
-    merged state and truncate the journal.  Returns ``(repo, report)``.
+    merged state and truncate the journal.  Returns ``(repo, report)``;
+    ``repo`` is bare — refs plus objects, nothing checked out — which is
+    all a hosted repository is.  When the replay moved HEAD, the files of
+    its new tip are written into ``directory`` before the checkpoint, so
+    the working copy matches the history the journal acknowledged.
 
     Every step is idempotent, so a crash *during* recovery (including the
     ``serve.recover`` failpoint the chaos suite arms) restarts cleanly:
@@ -350,9 +354,10 @@ def recover_working_copy(
     With ``checkpoint=False`` the journal is left in place (used by
     read-only tooling and tests that want to re-run recovery).
     """
-    from repro.vcs.workingcopy import load_repository, save_repository
+    from repro.vcs.workingcopy import load_refs_and_store, save_repository
     from repro.vcs.fsck import fsck_working_copy
     from repro.vcs.transfer import apply_bundle, update_refs_from_bundle
+    from repro.vcs.worktree import export_snapshot
     from repro.errors import BundleError, RemoteError, VCSError
 
     root = Path(directory)
@@ -375,14 +380,17 @@ def recover_working_copy(
         report.degraded = True
         report.degraded_reason = "store damaged and not fully repaired; serving read-only"
 
-    # 2. Load the last checkpoint (also sweeps state.json's orphan temps).
-    repo = load_repository(root)
+    # 2. Load the last checkpoint (also sweeps state.json's orphan temps) as
+    # a bare repository: refs plus objects.  The served directory's files
+    # are never read, and replay below only moves refs.
+    repo = load_refs_and_store(root)
 
     # 3. Replay the journal's intact prefix, in append (= acknowledgement)
     # order.  apply_bundle's all-objects-present fast path and the
     # fast-forward-onto-self ref moves make every already-reflected record
     # a no-op, so replay after replay converges.
     replay = replay_journal(journal_path(root))
+    checkpoint_head = repo.head_oid()
     report.records_found = len(replay.records)
     report.torn_tail = replay.torn_tail
     report.corrupt_record = replay.corrupt_record
@@ -411,6 +419,11 @@ def recover_working_copy(
     # evidence of the damaged acknowledgements, and truncating it would
     # turn a diagnosable loss into a silent one.
     if checkpoint:
+        # Replay moved refs only.  If HEAD moved, write its tip's files now,
+        # before the journal that moved it is truncated: once it is gone,
+        # nothing later can tell that the directory's files are stale.
+        if repo.head_oid() != checkpoint_head:
+            export_snapshot(repo, "HEAD", root)
         save_repository(repo, root, export_files=False)
         if not report.corrupt_record and report.failed_records == 0:
             try:

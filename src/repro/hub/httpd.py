@@ -163,6 +163,12 @@ class _HubRequestHandler(BaseHTTPRequestHandler):
             # error) is a server-side failure the client may retry.
             self._send(500, {"message": str(exc), "retryable": True})
             return
+        except Exception as exc:  # lint: broad-except-ok(last-resort boundary: a bug costs one 500, not a dropped connection; SimulatedCrash is a BaseException and passes)
+            self._send(500, {
+                "message": f"internal server error: {type(exc).__name__}: {exc}",
+                "retryable": False,
+            })
+            return
         self._send(response.status, response.json)
 
     def _send(self, status: int, body) -> None:

@@ -9,21 +9,25 @@ of ForkCite (fork) and the local tool's publish step (receive a push).
 
 Thread-safety contract
 ----------------------
-The platform serves concurrent requests (it sits behind
-:class:`~repro.hub.httpd.HubHttpServer`, one thread per request):
+A hosted repository is bare: refs plus an object store, with no working
+tree, no staging index and no checkout.  Every write is "add objects, then
+move a ref", so the platform serves concurrent requests (it sits behind
+:class:`~repro.hub.httpd.HubHttpServer`, one thread per request) with
+little locking:
 
 * account and repository *registration* (register_user, host_repository,
   fork) runs under the platform lock so two requests cannot claim the same
   login or slug;
-* operations that mutate a hosted repository's *worktree* (put_file,
-  delete_file, and receive_pack's ref-update + checkout phase) serialise on
-  a per-slug lock — the checkout-target/commit/checkout-back dance is not
-  re-entrant, and concurrent content commits to one repository must land in
-  some serial order;
-* the expensive part of a push — bundle verification and object install in
-  :func:`~repro.vcs.transfer.session.apply_bundle` — deliberately runs
-  *outside* any platform lock (the object store tolerates concurrent
-  writers), so large pushes do not starve the contents API;
+* the expensive part of every write runs *outside* any platform lock — a
+  push's bundle verification and object install in
+  :func:`~repro.vcs.transfer.session.apply_bundle`, and a contents
+  commit's tree surgery (O(depth) trees, :func:`~repro.vcs.treeops.rewrite_path`)
+  plus its object writes (the object store tolerates concurrent writers);
+* the per-slug lock covers only "compare-and-swap the ref + append the
+  journal record", so journal order equals ref order and replay sees the
+  history clients saw.  Nothing that grows with the repository runs under
+  it.  A contents commit whose branch moved meanwhile is rebuilt on the
+  new tip and retried, like a push that lost its ref CAS;
 * pure reads (get_file, list_tree, git_refs, upload_pack, commits) take no
   lock at all and may overlap everything above.
 """
@@ -39,6 +43,7 @@ from repro.errors import (
     BundleChecksumError,
     BundleError,
     InvalidObjectError,
+    InvalidPathError,
     NotFoundError,
     ObjectNotFoundError,
     PermissionDeniedError,
@@ -53,20 +58,28 @@ from repro.errors import (
 from repro.hub.auth import TokenAuthority
 from repro.hub.models import AccessToken, HostedRepository, Permission, User
 from repro.hub.ratelimit import RateLimiter
-from repro.utils.paths import normalize_path
 from repro.utils.timeutil import now_utc
-from repro.vcs.remote import clone_repository, fork_repository, push
+from repro.vcs.objects import MODE_FILE, Blob, Commit
+from repro.vcs.remote import clone_repository, mirror_repository
 from repro.vcs.repository import Repository
 from repro.vcs.transfer import (
+    ApplyResult,
     RefAdvertisement,
     advertise_refs,
     apply_bundle,
+    common_tips,
     create_bundle,
     update_refs_from_bundle,
+    write_bundle,
 )
-from repro.vcs.treeops import flatten_tree
+from repro.vcs.treeops import flatten_tree, rewrite_path
 
 __all__ = ["HostingPlatform"]
+
+#: How often a contents commit is rebuilt because its branch moved between
+#: reading the tip and the ref compare-and-swap.  Each retry means another
+#: writer committed first; the bound only turns a livelock bug into an error.
+_CONTENTS_CAS_MAX_ATTEMPTS = 64
 
 
 class HostingPlatform:
@@ -80,7 +93,7 @@ class HostingPlatform:
         self.rate_limiter = rate_limiter or RateLimiter()
         #: Guards the account/repository registries (see module docstring).
         self._lock = threading.RLock()
-        #: One lock per hosted slug, serialising worktree-mutating requests.
+        #: One lock per hosted slug, held for "ref CAS + journal append".
         self._repo_locks: dict[str, threading.RLock] = {}
         #: Per-slug write-ahead journals (``repro.hub.durability.PushJournal``).
         #: When a slug has one attached, every acknowledged mutation is
@@ -101,7 +114,7 @@ class HostingPlatform:
     def _journal_append(self, slug: str, bundle_data: bytes, force: bool = False) -> None:
         """Persist an acknowledged mutation, or refuse the acknowledgement.
 
-        Called under the per-slug lock, *after* the ref transaction committed,
+        Called under the per-slug lock, *after* the ref move committed,
         so journal order matches ref order — replay's prerequisite chain is
         exactly the order clients observed.  If the disk refuses the append,
         the in-memory state has moved but the client gets a retryable 503
@@ -124,34 +137,6 @@ class HostingPlatform:
                 "degraded (read-only) until its disk recovers",
                 retry_after=5.0,
             ) from exc
-
-    def _journal_contents_commit(
-        self, repo: Repository, slug: str, branch: str, old_tip: Optional[str], commit_oid: str
-    ) -> None:
-        """Journal a contents-API commit as a single-commit push bundle.
-
-        The journal speaks one record shape — a push bundle — so a commit
-        made through put_file/delete_file is wrapped as the bundle the
-        equivalent push would have sent: the new commit thin against the
-        branch's previous tip, advertising only the branch it moved.  Replay
-        then needs no second code path.  Called under the per-slug lock.
-        """
-        if self._journals.get(slug) is None:
-            return
-        refs = RefAdvertisement(
-            branches={branch: commit_oid},
-            tags={},
-            default_branch=branch,
-            head_branch=None,
-            head_oid=None,
-        )
-        bundle_data = create_bundle(
-            repo.store,
-            [commit_oid],
-            haves=(old_tip,) if old_tip else (),
-            refs=refs,
-        )
-        self._journal_append(slug, bundle_data, force=False)
 
     def _repo_lock(self, slug: str) -> threading.RLock:
         """The per-slug mutation lock (created on first use)."""
@@ -289,7 +274,7 @@ class HostingPlatform:
         """
         hosted = self.get_repository(slug, token=token)
         user = self._require_permission(hosted, token, Permission.READ)
-        forked = fork_repository(hosted.repo, new_owner=user.login, new_name=new_name)
+        forked = mirror_repository(hosted.repo, name=new_name, owner=user.login)
         return self.host_repository(forked, private=hosted.private, forked_from=slug)
 
     def clone(self, slug: str, token: Optional[str] = None) -> Repository:
@@ -299,10 +284,47 @@ class HostingPlatform:
 
     def receive_push(self, slug: str, token: str, local_repo: Repository,
                      branch: Optional[str] = None, force: bool = False) -> str:
-        """Accept a push from a local clone (requires write access)."""
+        """Accept a push from a local clone (requires write access).
+
+        The in-process twin of :meth:`receive_pack`: the branch travels as
+        a bundle thin against the hosted tips and lands through the same
+        verify → ref CAS → journal path.  Returns the new tip.
+        """
         hosted = self.get_repository(slug, token=token)
         self._require_permission(hosted, token, Permission.WRITE)
-        return push(local_repo, hosted.repo, branch=branch, force=force)
+        branch = branch or local_repo.current_branch or local_repo.refs.default_branch
+        if not local_repo.refs.has_branch(branch):
+            raise RemoteError(f"local repository has no branch {branch!r}")
+        tip = local_repo.refs.branch_target(branch)
+        pushed = RefAdvertisement(
+            branches={branch: tip}, tags={}, default_branch=branch,
+            head_branch=None, head_oid=None,
+        )
+        bundle_data = create_bundle(
+            local_repo.store, [tip],
+            haves=common_tips(local_repo.store, hosted.repo), refs=pushed,
+        )
+        self._publish_bundle(slug, hosted.repo, bundle_data, force=force)
+        return tip
+
+    def _publish_bundle(self, slug: str, repo: Repository, bundle_data: bytes,
+                        force: bool) -> tuple[dict, ApplyResult]:
+        """Install a pushed bundle, move its refs and journal it.
+
+        Verification and object install run unlocked; the per-slug lock
+        covers the ref CAS and the journal append only.
+        """
+        result = apply_bundle(repo.store, bundle_data)
+        with self._repo_lock(slug):
+            updated = update_refs_from_bundle(repo, result.bundle, force=force)
+            # Journal unconditionally — even an apparent no-op.  A retry of
+            # a push whose first attempt moved refs but failed its journal
+            # append looks like a no-op here, yet *this* attempt is the one
+            # that gets acknowledged, so it must be the one that is durable.
+            # Replay is idempotent; a duplicate record costs bytes, a
+            # missing one costs an acknowledged push.
+            self._journal_append(slug, bundle_data, force=force)
+        return updated, result
 
     # ------------------------------------------------------------------
     # Git wire protocol (what the sync subsystem speaks over the REST API)
@@ -349,23 +371,8 @@ class HostingPlatform:
         """
         hosted = self.get_repository(slug, token=token)
         self._require_permission(hosted, token, Permission.WRITE)
-        repo = hosted.repo
         try:
-            # Verification + object install runs unlocked (see the module
-            # docstring); only the ref-move + checkout phase — which must not
-            # interleave with a put_file/delete_file commit dance — takes the
-            # per-slug lock.  Ref-vs-ref races are additionally resolved by
-            # the CAS transaction inside update_refs_from_bundle itself.
-            result = apply_bundle(repo.store, bundle_data)
-            with self._repo_lock(slug):
-                updated = update_refs_from_bundle(repo, result.bundle, force=force)
-                # Journal unconditionally — even an apparent no-op.  A retry
-                # of a push whose first attempt moved refs but failed its
-                # journal append looks like a no-op here, yet *this* attempt
-                # is the one that gets acknowledged, so it must be the one
-                # that is durable.  Replay is idempotent; a duplicate record
-                # costs bytes, a missing one costs an acknowledged push.
-                self._journal_append(slug, bundle_data, force=force)
+            updated, result = self._publish_bundle(slug, hosted.repo, bundle_data, force)
         except BundleChecksumError as exc:
             # Stream-level damage, not a semantic rejection: the sender's
             # copy is intact, so the client is told a re-send may succeed.
@@ -397,9 +404,9 @@ class HostingPlatform:
             # dangling tree entry) is a server-side failure: it must surface,
             # not masquerade as a missing file.
             raise
-        except VCSError as exc:
+        except (VCSError, InvalidPathError) as exc:
             # Ref/path resolution only: unknown ref, no such file, path is a
-            # directory — the legitimate 404s.
+            # directory or not a legal path — the legitimate 404s.
             raise NotFoundError(f"{slug}@{resolved_ref} has no file {path!r}") from exc
 
     def path_exists(self, slug: str, path: str, ref: Optional[str] = None,
@@ -410,7 +417,7 @@ class HostingPlatform:
             return hosted.repo.path_exists_at(resolved_ref, path)
         except (StorageError, ObjectNotFoundError, InvalidObjectError):
             raise  # corruption is not "the path does not exist"
-        except VCSError:
+        except (VCSError, InvalidPathError):
             return False
 
     def list_tree(self, slug: str, ref: Optional[str] = None, token: Optional[str] = None) -> list[dict]:
@@ -442,33 +449,16 @@ class HostingPlatform:
         """Create or update a file on a branch and commit (write access required).
 
         This is the endpoint the browser extension uses to "directly modify
-        the citation file on the remote repository".
+        the citation file on the remote repository".  Re-writing a file
+        with its current bytes, or writing beneath a path that is a file
+        (or onto one that is a directory), is a :class:`ValidationError`.
         """
         hosted = self.get_repository(slug, token=token)
         user = self._require_permission(hosted, token, Permission.WRITE)
-        repo = hosted.repo
-        # Per-slug lock: the checkout/commit/checkout-back dance below must
-        # not interleave with another content commit or a push's ref phase.
-        with self._repo_lock(slug):
-            target_branch = branch or hosted.default_branch
-            original_branch = repo.current_branch
-            if not repo.refs.has_branch(target_branch):
-                raise NotFoundError(f"{slug} has no branch {target_branch!r}")
-            old_tip = repo.refs.branch_target(target_branch)
-            if original_branch != target_branch:
-                repo.checkout(target_branch)
-            try:
-                repo.write_file(path, content)
-                commit_oid = repo.commit(
-                    message,
-                    author_name=author_name or user.name,
-                    timestamp=timestamp,
-                )
-            finally:
-                if original_branch is not None and original_branch != target_branch:
-                    repo.checkout(original_branch)
-            self._journal_contents_commit(repo, slug, target_branch, old_tip, commit_oid)
-            return commit_oid
+        blob = Blob(content.encode("utf-8") if isinstance(content, str) else bytes(content))
+        return self._commit_contents(
+            hosted, user, path, blob, message, branch, author_name, timestamp
+        )
 
     def delete_file(
         self,
@@ -483,30 +473,70 @@ class HostingPlatform:
         """Delete a file on a branch and commit (write access required)."""
         hosted = self.get_repository(slug, token=token)
         user = self._require_permission(hosted, token, Permission.WRITE)
+        return self._commit_contents(
+            hosted, user, path, None, message, branch, author_name, timestamp
+        )
+
+    def _commit_contents(
+        self,
+        hosted: HostedRepository,
+        user: User,
+        path: str,
+        blob: Optional[Blob],
+        message: str,
+        branch: Optional[str],
+        author_name: Optional[str],
+        timestamp: Optional[datetime],
+    ) -> str:
+        """Commit ``blob`` at ``path`` (``None`` deletes it) onto a branch tip.
+
+        The new commit is built by tree surgery on the tip — only the trees
+        on the root→path spine are rewritten — and every check runs before
+        anything is stored, so a rejected request writes nothing.  The
+        commit is published with a ref compare-and-swap plus a journal
+        append under the per-slug lock; if another writer moved the branch
+        first, the commit is rebuilt on the new tip.
+        """
+        slug = hosted.full_name
         repo = hosted.repo
-        with self._repo_lock(slug):
-            target_branch = branch or hosted.default_branch
-            original_branch = repo.current_branch
-            if not repo.refs.has_branch(target_branch):
-                raise NotFoundError(f"{slug} has no branch {target_branch!r}")
-            old_tip = repo.refs.branch_target(target_branch)
-            if original_branch != target_branch:
-                repo.checkout(target_branch)
+        target = branch or hosted.default_branch
+        entry = (blob.oid, MODE_FILE) if blob is not None else None
+        for _attempt in range(_CONTENTS_CAS_MAX_ATTEMPTS):
+            if not repo.refs.has_branch(target):
+                raise NotFoundError(f"{slug} has no branch {target!r}")
+            old_tip = repo.refs.branch_target(target)
+            old_tree = repo.store.get_commit(old_tip).tree_oid
             try:
-                canonical = normalize_path(path)
-                if not repo.file_exists(canonical):
-                    raise NotFoundError(f"{slug}@{target_branch} has no file {path!r}")
-                repo.remove_file(canonical)
-                commit_oid = repo.commit(
-                    message,
-                    author_name=author_name or user.name,
-                    timestamp=timestamp,
+                tree_oid, trees = rewrite_path(repo.store, old_tree, path, entry)
+            except (VCSError, InvalidPathError) as exc:
+                if blob is None:
+                    raise NotFoundError(f"{slug}@{target} has no file {path!r}") from exc
+                raise ValidationError(f"cannot write {path!r} on {target!r}: {exc}") from exc
+            if tree_oid == old_tree:
+                raise ValidationError(
+                    f"nothing to commit: {path!r} on {target!r} already has this content"
                 )
-            finally:
-                if original_branch is not None and original_branch != target_branch:
-                    repo.checkout(original_branch)
-            self._journal_contents_commit(repo, slug, target_branch, old_tip, commit_oid)
-            return commit_oid
+            author = repo.make_signature(author_name or user.name, timestamp=timestamp)
+            commit = Commit(
+                tree_oid=tree_oid, parent_oids=(old_tip,), author=author,
+                committer=author, message=message,
+            )
+            written = ([blob] if blob is not None else []) + trees + [commit]
+            oids = repo.store.put_many(written)
+            # The journal record is the bundle the equivalent push would
+            # send: exactly the new objects, thin against the old tip.
+            bundle_data = write_bundle(
+                repo.store, oids, prerequisites=(old_tip,), branches={target: commit.oid}
+            )
+            with self._repo_lock(slug):
+                if not repo.refs.compare_and_swap_branch(target, old_tip, commit.oid):
+                    continue  # another writer moved the branch; rebuild on its tip
+                self._journal_append(slug, bundle_data, force=False)
+            return commit.oid
+        raise ServiceUnavailableError(
+            f"{slug}@{target} kept moving during {_CONTENTS_CAS_MAX_ATTEMPTS} commit attempts",
+            retry_after=1.0,
+        )
 
     # ------------------------------------------------------------------
     # History metadata (used when building citations for remote versions)

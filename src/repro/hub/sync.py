@@ -137,9 +137,12 @@ class HubRemote:
         ``wants`` defaults to everything the remote advertises.  No local
         ref moves — the advertisement is returned so the caller can decide
         (exactly the split :func:`repro.vcs.remote.fetch_branch` makes).
-        The haves sent are the local tips walked back to the first commit
-        provably shared with the remote, so a local clone that is *ahead*
-        still yields a thin bundle instead of the whole history.
+        The haves sent are the local tips themselves — when the remote is
+        strictly ahead, none of its tips is held locally, but the local tips
+        are its ancestors, and the hub drops haves it has never seen — plus
+        the local tips walked back to the first commit provably shared with
+        the remote, so a local clone that is *ahead* still yields a thin
+        bundle instead of the whole history.
         """
         advert = self.refs()
         wanted = sorted(set(wants) if wants is not None else advert.tips())
@@ -147,16 +150,18 @@ class HubRemote:
             return advert
         known = _remote_known_commits(local, advert)
         store = local.store
-        haves: list[str] = []
+        local_tips = sorted(advertise_refs(local).tips())
+        haves: list[str] = list(local_tips)
         seen: set[str] = set()
-        frontier = sorted(advertise_refs(local).tips())
+        frontier = list(local_tips)
         while frontier:
             oid = frontier.pop()
             if oid in seen:
                 continue
             seen.add(oid)
             if oid in known:
-                haves.append(oid)
+                if oid not in haves:
+                    haves.append(oid)
                 continue
             if oid in store and store.get_type(oid) == "commit":
                 frontier.extend(store.get_commit(oid).parent_oids)

@@ -64,8 +64,22 @@ def commit_ancestors(store: ObjectStore, commit_oid: str, include_self: bool = T
 
 
 def is_ancestor_commit(store: ObjectStore, ancestor_oid: str, descendant_oid: str) -> bool:
-    """Return whether ``ancestor_oid`` is reachable from ``descendant_oid``."""
-    return ancestor_oid in commit_ancestors(store, descendant_oid)
+    """Return whether ``ancestor_oid`` is reachable from ``descendant_oid``.
+
+    The walk stops at the first sighting, so a fast-forward check costs the
+    commits between the two tips, not the whole history behind them.
+    """
+    seen: set[str] = set()
+    frontier = [descendant_oid]
+    while frontier:
+        oid = frontier.pop()
+        if oid == ancestor_oid:
+            return True
+        if oid in seen:
+            continue
+        seen.add(oid)
+        frontier.extend(store.get_commit(oid).parent_oids)
+    return False
 
 
 def find_merge_base(store: ObjectStore, oid_a: str, oid_b: str) -> Optional[str]:

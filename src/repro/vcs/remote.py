@@ -36,6 +36,7 @@ from repro.vcs.treeops import tree_closure
 
 __all__ = [
     "clone_repository",
+    "mirror_repository",
     "fork_repository",
     "push",
     "pull",
@@ -96,6 +97,33 @@ def _copy_annotated_tags(source: Repository, destination: Repository) -> int:
     return len(records)
 
 
+def mirror_repository(
+    source: Repository,
+    name: str | None = None,
+    owner: str | None = None,
+) -> Repository:
+    """Copy ``source``'s refs and *reachable* objects, with no working tree.
+
+    This is a bare copy — what a hosting platform keeps for a fork: the
+    branches, tags and HEAD of the source plus exactly the objects they
+    reach, and nothing checked out.  The object transfer goes through the
+    reachability walker, so dangling objects the source accumulated before
+    its own gc are not copied.
+    """
+    mirror = Repository(
+        name=name or source.name,
+        owner=owner or source.owner,
+        default_branch=source.refs.default_branch,
+        description=source.description,
+    )
+    wants = sorted(advertise_refs(source).tips())
+    if wants:
+        apply_bundle(mirror.store, create_bundle(source.store, wants))
+        _copy_annotated_tags(source, mirror)
+    mirror.refs = source.refs.clone()
+    return mirror
+
+
 def clone_repository(
     source: Repository,
     name: str | None = None,
@@ -105,22 +133,10 @@ def clone_repository(
 
     The clone keeps the source's owner by default — this is "downloading a
     copy of the project repository with Git" from Section 3, the state in
-    which the local executable tool operates.  The object transfer goes
-    through the reachability walker, so a clone is gc-clean by construction:
-    dangling objects the source accumulated before its own gc are not
-    copied.
+    which the local executable tool operates: a :func:`mirror_repository`
+    with HEAD checked out.
     """
-    clone = Repository(
-        name=name or source.name,
-        owner=owner or source.owner,
-        default_branch=source.refs.default_branch,
-        description=source.description,
-    )
-    wants = sorted(advertise_refs(source).tips())
-    if wants:
-        apply_bundle(clone.store, create_bundle(source.store, wants))
-        _copy_annotated_tags(source, clone)
-    clone.refs = source.refs.clone()
+    clone = mirror_repository(source, name=name, owner=owner)
     head = clone.head_oid()
     if head:
         clone.checkout(clone.current_branch or head)

@@ -736,7 +736,8 @@ class Repository:
         """Return ``{path: content}`` for every file in the given version."""
         tree_oid = self.tree_oid_of(ref)
         files = flatten_files(self.store, tree_oid)
-        return {path: self.store.get_blob(oid).data for path, (oid, _) in files.items()}
+        blobs = self.store.get_blobs(oid for oid, _ in files.values())
+        return {path: blobs[oid].data for path, (oid, _) in files.items()}
 
     def blob_oid_at(self, ref: str, path: str) -> str:
         """Return the blob oid of a file as of the given version.

@@ -209,8 +209,10 @@ def update_refs_from_bundle(
     created, never moved (a conflicting tag raises unless ``force``).  The
     update is all-or-nothing: every move is validated *before* the first ref
     changes, so one rejected branch cannot leave the others half-applied.
-    The working tree is refreshed when the currently checked-out branch
-    moved.  Returns ``{ref name: new oid}`` for everything that changed.
+    Only refs move: no working tree is read or written, so the cost is the
+    ancestry walks, never the size of the tree.  A caller that owns a
+    working copy refreshes it afterwards if its checked-out branch moved.
+    Returns ``{ref name: new oid}`` for everything that changed.
 
     Concurrency: the update is an optimistic compare-and-swap transaction
     against :attr:`~repro.vcs.refs.RefStore.version`.  Validation (ancestry
@@ -281,13 +283,6 @@ def update_refs_from_bundle(
                 # A tag sharing a moved branch's name must not clobber the
                 # branch entry in the report (namespaces are separate).
                 updated.setdefault(name, oid)
-            # Refresh the working tree only when the checked-out *branch*
-            # moved — a tag that merely shares its name must not trigger a
-            # checkout (which would silently revert uncommitted edits).
-            # Inside the lock: the worktree install must see exactly the
-            # tips this transaction committed.
-            if repo.current_branch in branch_moves:
-                repo.checkout(repo.current_branch)
         return updated
     raise RemoteError(
         "ref update starved: the ref store kept changing during "

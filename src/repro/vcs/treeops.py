@@ -13,7 +13,7 @@ from bisect import bisect_left
 from typing import Iterator, Mapping
 
 from repro.errors import VCSError
-from repro.utils.paths import ROOT, join_path, normalize_path, split_path
+from repro.utils.paths import ROOT, ancestors, join_path, normalize_path, split_path
 from repro.utils.sortedkeys import descendant_slice
 from repro.vcs.object_store import ObjectStore
 from repro.vcs.objects import MODE_DIRECTORY, MODE_FILE, Tree, TreeEntry
@@ -22,7 +22,7 @@ __all__ = [
     "flatten_tree",
     "flatten_files",
     "build_tree",
-    "build_tree_incremental",
+    "rewrite_path",
     "build_tree_from_sorted_index",
     "tree_closure",
     "lookup_path",
@@ -79,99 +79,76 @@ def build_tree(store: ObjectStore, files: Mapping[str, tuple[str, str]]) -> str:
 
     Only file entries may be supplied; directories are created implicitly.
     Returns the id of the root tree (an empty map produces an empty tree).
-    Paths may be in any of the accepted loose forms; canonicalisation and
-    the actual materialisation are delegated to
-    :func:`build_tree_incremental` with an empty cache.
+    Paths may be in any of the accepted loose forms.  A file at the root
+    path or a path that is both a file and a directory raises
+    :class:`VCSError`; the nesting itself is
+    :func:`build_tree_from_sorted_index` with an empty cache.
     """
-    canonical = {normalize_path(path): value for path, value in files.items()}
-    root_oid, _, _ = build_tree_incremental(store, canonical, {}, set())
+    canonical: dict[str, tuple[str, str]] = {}
+    for path, value in files.items():
+        path = normalize_path(path)
+        if path == ROOT:
+            raise VCSError("cannot store a file at the repository root path '/'")
+        if value[1] == MODE_DIRECTORY:
+            raise VCSError(f"build_tree expects file entries only, got directory {path!r}")
+        canonical[path] = value
+    for path in canonical:
+        for ancestor in ancestors(path):
+            if ancestor in canonical:
+                raise VCSError(f"path conflict: {ancestor!r} is both a file and a directory")
+    root_oid, _, _ = build_tree_from_sorted_index(store, sorted(canonical), canonical, {}, set())
     return root_oid
 
 
-#: Sentinel marking a nested-dict child as "reuse the cached subtree oid".
-_REUSED_SUBTREE = object()
+def rewrite_path(
+    store: ObjectStore, tree_oid: str, path: str, entry: tuple[str, str] | None
+) -> tuple[str, list[Tree]]:
+    """Set (or, with ``entry=None``, delete) one file in a stored tree.
 
+    Only the trees on the root→``path`` spine are rewritten — O(depth)
+    tree reads — and every sibling subtree keeps its oid.  Missing
+    directories on the way to a new file are created; a directory emptied
+    by a delete disappears from its parent (the root stays, possibly
+    empty).  Nothing is stored: returns ``(new root oid, new trees)``, and
+    the caller puts the trees once it decides to keep them.
 
-def build_tree_incremental(
-    store: ObjectStore,
-    files: Mapping[str, tuple[str, str]],
-    cached_subtrees: Mapping[str, str],
-    dirty_directories: set[str],
-) -> tuple[str, dict[str, str], dict[str, int]]:
-    """Build nested trees, reusing cached oids for unchanged subtrees.
-
-    ``cached_subtrees`` maps directory path → tree oid as of an earlier
-    build of the *same store*; ``dirty_directories`` must contain every
-    directory with a changed, added or removed file anywhere beneath it.  A
-    directory that is cached and not dirty is emitted by oid without being
-    re-serialised, re-hashed or re-stored — files beneath it are not even
-    visited while nesting.
-
-    Unlike :func:`build_tree`, paths are assumed canonical (the staging
-    index guarantees it); file/directory conflicts still raise
-    :class:`VCSError`.
-
-    Returns ``(root oid, new directory → oid map, {"built": n, "reused": m})``.
+    Raises :class:`VCSError` when ``path`` is the root, when a component on
+    the way is a file, when the target is a directory, or when a delete
+    names no file.
     """
-    nested: dict = {}
-    stats = {"built": 0, "reused": 0}
-    for path, value in files.items():
-        if value[1] == MODE_DIRECTORY:
-            raise VCSError(f"build_tree expects file entries only, got directory {path!r}")
-        if path == ROOT:
-            raise VCSError("cannot store a file at the repository root path '/'")
-        parts = path[1:].split("/")
-        cursor = nested
-        dir_path = ""
-        pruned = False
-        for component in parts[:-1]:
-            dir_path = f"{dir_path}/{component}"
-            if dir_path not in dirty_directories and dir_path in cached_subtrees:
-                # The whole subtree is unchanged: mark it once and stop
-                # descending into this file's path.
-                cursor[component] = _REUSED_SUBTREE
-                pruned = True
-                break
-            existing = cursor.get(component)
-            if existing is _REUSED_SUBTREE or existing is None:
-                existing = cursor[component] = {}
-            elif not isinstance(existing, dict):
-                raise VCSError(
-                    f"path conflict: {component!r} is both a file and a directory under {path!r}"
-                )
-            cursor = existing
-        if not pruned:
-            if parts[-1] in cursor:
-                raise VCSError(f"path conflict: {path!r} is both a file and a directory")
-            cursor[parts[-1]] = value
+    parts = split_path(path)
+    if not parts:
+        raise VCSError("cannot store a file at the repository root path '/'")
+    written: list[Tree] = []
 
-    new_cache = {
-        path: oid for path, oid in cached_subtrees.items() if path not in dirty_directories
-    }
+    def rewrite(oid: str | None, depth: int) -> Tree | None:
+        tree = store.get_tree(oid) if oid is not None else Tree()
+        name = parts[depth]
+        here = "/" + "/".join(parts[: depth + 1])
+        current = tree.entry(name)
+        if depth == len(parts) - 1:
+            if current is not None and current.is_directory:
+                raise VCSError(f"{here!r} is a directory")
+            if entry is None and current is None:
+                raise VCSError(f"no such file: {here!r}")
+            child = None if entry is None else TreeEntry(name=name, oid=entry[0], mode=entry[1])
+        else:
+            if current is not None and not current.is_directory:
+                raise VCSError(f"{here!r} is a file; cannot create {normalize_path(path)!r} beneath it")
+            if entry is None and current is None:
+                raise VCSError(f"no such file: {normalize_path(path)!r}")
+            subtree = rewrite(current.oid if current is not None else None, depth + 1)
+            child = None if subtree is None else TreeEntry(
+                name=name, oid=subtree.oid, mode=MODE_DIRECTORY
+            )
+        rewritten = tree.without_entry(name) if child is None else tree.with_entry(child)
+        if not rewritten.entries and depth > 0:
+            return None  # an emptied directory is not stored
+        written.append(rewritten)
+        return rewritten
 
-    def _build(node: dict, dir_path: str) -> str:
-        entries: list[TreeEntry] = []
-        for name, value in node.items():
-            child_path = dir_path + name if dir_path == ROOT else f"{dir_path}/{name}"
-            if value is _REUSED_SUBTREE:
-                stats["reused"] += 1
-                entries.append(
-                    TreeEntry(name=name, oid=cached_subtrees[child_path], mode=MODE_DIRECTORY)
-                )
-            elif isinstance(value, dict):
-                child_oid = _build(value, child_path)
-                entries.append(TreeEntry(name=name, oid=child_oid, mode=MODE_DIRECTORY))
-            else:
-                blob_oid, mode = value
-                entries.append(TreeEntry(name=name, oid=blob_oid, mode=mode))
-        tree = Tree(entries=tuple(entries))
-        oid = store.put(tree)
-        new_cache[dir_path] = oid
-        stats["built"] += 1
-        return oid
-
-    root_oid = _build(nested, ROOT)
-    return root_oid, new_cache, stats
+    root = rewrite(tree_oid, 0)
+    return root.oid, written
 
 
 def build_tree_from_sorted_index(
@@ -183,9 +160,7 @@ def build_tree_from_sorted_index(
 ) -> tuple[str, dict[str, str], dict[str, int]]:
     """Build nested trees from a *sorted* path list, touching only dirty work.
 
-    The O(n) half of :func:`build_tree_incremental` is its pass over every
-    file entry to nest them, even when almost every subtree is pruned.  Here
-    a directory's direct children are enumerated by bisect jumps over the
+    A directory's direct children are enumerated by bisect jumps over the
     sorted path list (each child costs one bisect to skip its subtree), and
     only dirty directories are descended into — clean ones are emitted from
     ``cached_subtrees`` without their ranges ever being visited.  For a
@@ -194,7 +169,8 @@ def build_tree_from_sorted_index(
 
     ``sorted_paths`` must be the sorted keys of ``entries`` (the staging
     index maintains exactly that), all canonical, satisfying the worktree
-    invariant.  Return value and stats match :func:`build_tree_incremental`.
+    invariant.  Returns ``(root oid, new directory → oid map, {"built": n,
+    "reused": m})``.
     """
     new_cache = {
         path: oid for path, oid in cached_subtrees.items() if path not in dirty_directories

@@ -51,6 +51,7 @@ __all__ = [
     "backend_root",
     "is_working_copy",
     "save_repository",
+    "load_refs_and_store",
     "load_repository",
     "switch_storage",
     "reachable_from_refs",
@@ -198,13 +199,13 @@ def save_repository(repo: Repository, directory: str | os.PathLike[str],
     return state_path
 
 
-def load_repository(directory: str | os.PathLike[str],
-                    storage: str | None = None) -> Repository:
-    """Reconstruct a repository from ``directory``/.gitcite plus the on-disk files.
+def load_refs_and_store(directory: str | os.PathLike[str]) -> Repository:
+    """Open ``directory``/.gitcite as a bare repository: refs plus objects.
 
-    ``storage`` optionally overrides the layout recorded in the state file;
-    the object store is migrated immediately and the state file updated, so
-    the working copy on disk never straddles two layouts.
+    The files of the working copy are not read and nothing is checked out,
+    so the cost does not grow with the size of the tree.  This is how a
+    served working copy is hosted; :func:`load_repository` adds the working
+    tree on top.
     """
     root = Path(directory)
     state_path = _state_path(root)
@@ -252,13 +253,25 @@ def load_repository(directory: str | os.PathLike[str],
         repo.refs.attach_head(state["head_branch"])
     elif state.get("head_oid"):
         repo.refs.detach_head(state["head_oid"])
+    return repo
 
+
+def load_repository(directory: str | os.PathLike[str],
+                    storage: str | None = None) -> Repository:
+    """Reconstruct a repository from ``directory``/.gitcite plus the on-disk files.
+
+    ``storage`` optionally overrides the layout recorded in the state file;
+    the object store is migrated immediately and the state file updated, so
+    the working copy on disk never straddles two layouts.
+    """
+    root = Path(directory)
+    repo = load_refs_and_store(root)
     # The index mirrors HEAD; the working tree is whatever is on disk now.
     head = repo.head_oid()
     if head is not None:
         repo.index.read_tree(repo.store, repo.store.get_commit(head).tree_oid)
     import_worktree(repo, root, ignore=IgnoreRules(), replace=True)
-    if storage is not None and _checked_kind(storage) != stored_kind:
+    if storage is not None and _checked_kind(storage) != repo.store.backend.kind:
         save_repository(repo, root, export_files=False, storage=storage)
     return repo
 

@@ -168,4 +168,5 @@ class TestHostedEdgeCases:
         platform.fork("second/demo", token=token3)
         nested = platform.get_repository("third/demo")
         manager = CitationManager(nested.repo)
-        assert manager.cite("/docs/guide.md").citation.owner == "alice"
+        # A hosted fork is bare: its citations are read at the branch tip.
+        assert manager.cite("/docs/guide.md", ref="main").citation.owner == "alice"

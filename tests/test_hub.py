@@ -123,13 +123,13 @@ class TestRepositoryOperations:
         )
         hosted = platform.get_repository("alice/demo")
         assert hosted.repo.head_oid() == oid
-        assert hosted.repo.read_file("/docs/new.md") == b"new\n"
+        assert hosted.repo.read_file_at("main", "/docs/new.md") == b"new\n"
         with pytest.raises(NotFoundError):
             platform.put_file("alice/demo", "/x", b"", message="m", token=alice_token, branch="nope")
 
     def test_delete_file(self, platform, alice_token):
         platform.delete_file("alice/demo", "/docs/guide.md", message="drop", token=alice_token)
-        assert not platform.get_repository("alice/demo").repo.file_exists("/docs/guide.md")
+        assert not platform.get_repository("alice/demo").repo.path_exists_at("main", "/docs/guide.md")
         with pytest.raises(NotFoundError):
             platform.delete_file("alice/demo", "/docs/guide.md", message="again", token=alice_token)
 
@@ -144,7 +144,7 @@ class TestRepositoryOperations:
         local.write_file("/pushed.txt", "pushed\n")
         tip = local.commit("local work")
         assert platform.receive_push("alice/demo", alice_token, local) == tip
-        assert platform.get_repository("alice/demo").repo.file_exists("/pushed.txt")
+        assert platform.get_repository("alice/demo").repo.path_exists_at("main", "/pushed.txt")
 
     def test_push_requires_write(self, platform, bob_token):
         local = platform.clone("alice/demo")
@@ -365,6 +365,7 @@ class TestGitWireEndpoints:
         local = Repository.init("clone", owner, default_branch=refs["default_branch"])
         result = apply_bundle(local.store, data)
         update_refs_from_bundle(local, result.bundle)
+        local.checkout(local.current_branch)  # refs moved; the clone fills its own worktree
         return local, refs
 
     @staticmethod

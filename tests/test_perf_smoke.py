@@ -480,3 +480,135 @@ class TestCitationFunctionRangeIndex:
         moves = function.rename_prefix("/a", "/z")
         assert moves == {"/a": "/z", "/a/x.txt": "/z/x.txt"}
         assert function.active_domain() == ["/", "/ab", "/z", "/z/x.txt"]
+
+
+class TestBareHostedRepository:
+    """A hosted repository is refs plus a store: its writes never check
+    out, and they read no blob the request did not bring (tree surgery
+    touches the root→path spine only; receive-pack and replay move refs)."""
+
+    @pytest.fixture
+    def hub(self, tmp_path, monkeypatch):
+        from repro.hub.durability import PushJournal, journal_path
+        from repro.hub.server import HostingPlatform
+        from repro.vcs.workingcopy import load_refs_and_store, save_repository
+
+        repo = Repository.init("bare", "alice")
+        repo.write_files({f"/pkg{i % 20}/f{i}.txt": f"file {i}\n" for i in range(400)})
+        repo.commit("seed")
+        save_repository(repo, tmp_path, export_files=False)
+        hosted = load_refs_and_store(tmp_path)
+        platform = HostingPlatform()
+        platform.host_repository(hosted)
+        journal = PushJournal(journal_path(tmp_path))
+        platform.attach_journal("alice/bare", journal)
+
+        probe = {"checkouts": 0, "blob_reads": set(), "on": False}
+
+        def no_checkout(*args, **kwargs):
+            probe["checkouts"] += 1
+            raise AssertionError("a hosted write checked out a worktree")
+
+        monkeypatch.setattr(Repository, "checkout", no_checkout)
+        monkeypatch.setattr(Repository, "_load_worktree", no_checkout)
+        for name in ("get", "get_raw"):
+            original = getattr(ObjectStore, name)
+
+            def reading(self, oid, _original=original):
+                result = _original(self, oid)
+                if probe["on"] and self.get_type(oid) == "blob":
+                    probe["blob_reads"].add(oid)
+                return result
+
+            monkeypatch.setattr(ObjectStore, name, reading)
+        original_many = ObjectStore.get_blobs
+
+        def reading_many(self, oids):
+            result = original_many(self, oids)
+            if probe["on"]:
+                probe["blob_reads"].update(result)
+            return result
+
+        monkeypatch.setattr(ObjectStore, "get_blobs", reading_many)
+        yield platform, platform.issue_token("alice").value, repo, probe, tmp_path, journal
+        journal.close()
+
+    @staticmethod
+    def _measured(probe, action):
+        probe["blob_reads"].clear()
+        probe["on"] = True
+        try:
+            return action()
+        finally:
+            probe["on"] = False
+
+    def test_contents_put_and_delete(self, hub):
+        platform, token, _, probe, _, _ = hub
+        written = Blob(b"new content\n").oid
+        self._measured(probe, lambda: platform.put_file(
+            "alice/bare", "/pkg3/new.txt", b"new content\n", message="put", token=token))
+        assert probe["blob_reads"] <= {written}
+        self._measured(probe, lambda: platform.delete_file(
+            "alice/bare", "/pkg7/f7.txt", message="delete", token=token))
+        assert probe["blob_reads"] == set()
+        assert probe["checkouts"] == 0
+
+    def test_receive_pack_and_journal_replay(self, hub, monkeypatch):
+        from repro.hub.durability import recover_working_copy
+        from repro.vcs import transfer
+        from repro.vcs.transfer import advertise_refs, create_bundle
+
+        platform, token, local, probe, root, journal = hub
+        base = local.head_oid()
+        local.write_file("/pkg1/pushed.txt", "pushed\n")
+        tip = local.commit("push")
+        bundle = create_bundle(local.store, [tip], haves=[base], refs=advertise_refs(local))
+        pushed = {Blob(b"pushed\n").oid}
+        self._measured(probe, lambda: platform.receive_pack("alice/bare", token, bundle))
+        assert probe["blob_reads"] <= pushed
+        assert platform.get_repository("alice/bare").repo.refs.branch_target("main") == tip
+
+        journal.close()
+        # Replay re-applies the journalled push onto the checkpoint: count
+        # blob reads inside the apply + ref-move steps, not the fsck audit.
+        for name in ("apply_bundle", "update_refs_from_bundle"):
+            original = getattr(transfer, name)
+
+            def measured(*args, _original=original, **kwargs):
+                probe["on"] = True
+                try:
+                    return _original(*args, **kwargs)
+                finally:
+                    probe["on"] = False
+
+            monkeypatch.setattr(transfer, name, measured)
+        probe["blob_reads"].clear()
+        recovered, report = recover_working_copy(root, checkpoint=False)
+        assert report.records_replayed == 1
+        assert recovered.refs.branch_target("main") == tip
+        assert probe["blob_reads"] <= pushed
+        assert probe["checkouts"] == 0
+
+
+class TestFastForwardCheck:
+    def test_ancestry_walk_stops_at_the_old_tip(self):
+        from repro.vcs.merge import is_ancestor_commit
+
+        repo = Repository.init("ff", "alice")
+        for i in range(60):
+            repo.write_file("/f.txt", f"{i}\n")
+            repo.commit(f"c{i}")
+        parent = repo.head_oid()
+        repo.write_file("/f.txt", "tip\n")
+        tip = repo.commit("tip")
+        reads = []
+        original = repo.store.get_commit
+
+        def counting(oid):
+            reads.append(oid)
+            return original(oid)
+
+        repo.store.get_commit = counting
+        assert is_ancestor_commit(repo.store, parent, tip)
+        assert reads == [tip]  # not the 61 commits of history behind it
+        assert not is_ancestor_commit(repo.store, tip, parent)

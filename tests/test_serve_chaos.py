@@ -169,6 +169,69 @@ class TestServeChaos:
         assert saved.refs.branch_target("main") == tip
         assert saved.read_file_at("main", "graceful.txt") == b"drained\n"
 
+    def test_drain_writes_the_moved_tip_files_once(self, tmp_path):
+        # The hosted repository is bare: serve neither reads the directory's
+        # files nor checks anything out.  At drain it writes the new tip's
+        # files into the directory — and only when HEAD moved, so an idle
+        # hub leaves the working copy's uncommitted edits alone.
+        root = _build_working_copy(tmp_path)
+        (root / "README.md").write_text("uncommitted edit\n")
+        process = _spawn(root)
+        url, _ = _read_banner(process)
+        assert url is not None
+        process.send_signal(signal.SIGTERM)
+        process.communicate(timeout=30)
+        assert process.returncode == 0
+        assert (root / "README.md").read_text() == "uncommitted edit\n"
+
+        process = _spawn(root)
+        url, token = _read_banner(process)
+        assert url is not None
+        response = HttpTransport(url, timeout=10).put(
+            f"/repos/{SLUG}/contents/docs/new.txt",
+            {"message": "via contents", "content": base64.b64encode(b"new\n").decode()},
+            token=token,
+        )
+        assert response.status == 201, response.json
+        process.send_signal(signal.SIGTERM)
+        process.communicate(timeout=30)
+        assert process.returncode == 0
+        assert (root / "docs" / "new.txt").read_bytes() == b"new\n"
+        assert (root / "README.md").read_text() == "chaos target\n"
+        # The uncommitted edit was never committed by the contents write.
+        saved = load_repository(root)
+        assert saved.read_file_at("main", "README.md") == b"chaos target\n"
+
+    def test_idle_drain_after_crash_recovery_keeps_the_replayed_files(self, tmp_path):
+        # A kill -9 after an acknowledged contents write leaves the write only
+        # in the journal.  The restart's replay moves refs, so the recovery
+        # itself must write the new tip's files: a drain with no new write
+        # sees an unmoved HEAD and writes nothing.
+        root = _build_working_copy(tmp_path)
+        process = _spawn(root)
+        url, token = _read_banner(process)
+        assert url is not None
+        response = HttpTransport(url, timeout=10).put(
+            f"/repos/{SLUG}/contents/docs/acked.txt",
+            {"message": "acked", "content": base64.b64encode(b"acked\n").decode()},
+            token=token,
+        )
+        assert response.status == 201, response.json
+        _kill_and_wait(process)
+        assert not (root / "docs" / "acked.txt").exists()
+
+        process = _spawn(root)
+        url, _ = _read_banner(process)
+        assert url is not None
+        process.send_signal(signal.SIGTERM)
+        process.communicate(timeout=30)
+        assert process.returncode == 0
+        assert (root / "docs" / "acked.txt").read_bytes() == b"acked\n"
+        # The directory matches the tip, so nothing reads as uncommitted.
+        saved = load_repository(root)
+        assert saved.read_file_at("main", "docs/acked.txt") == b"acked\n"
+        assert saved.status().is_clean, saved.status()
+
     def test_in_process_crash_fault_is_a_hard_exit(self, tmp_path):
         root = _build_working_copy(tmp_path)
         original_tip = load_repository(root).refs.branch_target("main")

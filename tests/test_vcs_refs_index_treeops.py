@@ -13,6 +13,7 @@ from repro.vcs.treeops import (
     flatten_tree,
     list_directories,
     lookup_path,
+    rewrite_path,
     subtree_oid,
     tree_contains,
 )
@@ -230,3 +231,93 @@ class TestTreeOps:
         store = ObjectStore()
         tree_oid = build_tree(store, {})
         assert flatten_files(store, tree_oid) == {}
+
+
+class TestRewritePath:
+    """Tree surgery must equal a full rebuild of the flattened result."""
+
+    @pytest.fixture
+    def populated(self):
+        store = ObjectStore()
+        files = {
+            "/a.txt": (store.put(Blob(b"a")), "100644"),
+            "/src/b.py": (store.put(Blob(b"b")), "100644"),
+            "/src/pkg/c.py": (store.put(Blob(b"c")), "100644"),
+            "/docs/only.md": (store.put(Blob(b"d")), "100644"),
+        }
+        return store, files, build_tree(store, files)
+
+    @staticmethod
+    def _apply(store, tree_oid, path, entry):
+        new_root, trees = rewrite_path(store, tree_oid, path, entry)
+        for tree in trees:
+            store.put(tree)
+        return new_root, trees
+
+    def _check(self, store, files, tree_oid, path, entry):
+        expected = dict(files)
+        if entry is None:
+            del expected[path]
+        else:
+            expected[path] = entry
+        new_root, trees = self._apply(store, tree_oid, path, entry)
+        assert new_root == build_tree(store, expected)
+        assert flatten_files(store, new_root) == expected
+        return new_root, trees
+
+    def test_add_creates_the_missing_directories(self, populated):
+        store, files, root = populated
+        blob = (store.put(Blob(b"new")), "100644")
+        _, trees = self._check(store, files, root, "/src/new/deep/x.py", blob)
+        assert len(trees) == 4  # '/', '/src', '/src/new', '/src/new/deep'
+
+    def test_replace_rewrites_only_the_spine(self, populated):
+        store, files, root = populated
+        blob = (store.put(Blob(b"c2")), "100644")
+        new_root, trees = self._check(store, files, root, "/src/pkg/c.py", blob)
+        assert len(trees) == 3  # '/', '/src', '/src/pkg'
+        # Siblings off the spine keep their oids.
+        assert subtree_oid(store, new_root, "/docs") == subtree_oid(store, root, "/docs")
+
+    def test_delete(self, populated):
+        store, files, root = populated
+        self._check(store, files, root, "/src/b.py", None)
+
+    def test_delete_last_file_of_a_directory_drops_it(self, populated):
+        store, files, root = populated
+        new_root, _ = self._check(store, files, root, "/docs/only.md", None)
+        assert not tree_contains(store, new_root, "/docs")
+        nested, _ = self._check(store, files, root, "/src/pkg/c.py", None)
+        assert not tree_contains(store, nested, "/src/pkg")
+        assert tree_contains(store, nested, "/src/b.py")
+
+    def test_deleting_every_file_leaves_an_empty_root(self):
+        store = ObjectStore()
+        files = {"/only/one.txt": (store.put(Blob(b"1")), "100644")}
+        root = build_tree(store, files)
+        new_root, _ = self._apply(store, root, "/only/one.txt", None)
+        assert new_root == build_tree(store, {})
+
+    def test_file_directory_conflicts(self, populated):
+        store, _, root = populated
+        blob = (store.put(Blob(b"x")), "100644")
+        with pytest.raises(VCSError, match="is a file"):
+            rewrite_path(store, root, "/a.txt/deeper", blob)
+        with pytest.raises(VCSError, match="is a directory"):
+            rewrite_path(store, root, "/src", blob)
+        with pytest.raises(VCSError, match="is a directory"):
+            rewrite_path(store, root, "/src", None)
+        with pytest.raises(VCSError, match="no such file"):
+            rewrite_path(store, root, "/src/missing.py", None)
+        with pytest.raises(VCSError, match="no such file"):
+            rewrite_path(store, root, "/nowhere/x.py", None)
+        with pytest.raises(VCSError):
+            rewrite_path(store, root, "/", blob)
+
+    def test_nothing_is_stored(self, populated):
+        store, _, root = populated
+        before = set(store.iter_oids())
+        blob = (store.put(Blob(b"fresh")), "100644")
+        new_root, trees = rewrite_path(store, root, "/src/pkg/fresh.py", blob)
+        assert set(store.iter_oids()) == before | {blob[0]}
+        assert new_root not in store and {tree.oid for tree in trees} >= {new_root}
